@@ -1,8 +1,9 @@
 """CI driver for the ``serve`` leg: the simulation service contracts.
 
-Boots a real ``repro serve`` daemon (spawned worker processes, the
-production mode) on an ephemeral port and holds it to the three
-promises the service makes:
+Boots a real ``repro serve`` daemon (process job mode, the production
+mode: one worker process per job, forked from a pre-imported
+forkserver) on an ephemeral port and holds it to the three promises
+the service makes, plus the price of a miss:
 
 1. **Never compute the same answer twice.**  A seeded spec submitted
    twice simulates once; the second submission is answered from the
@@ -16,6 +17,11 @@ promises the service makes:
    mid-simulation; the job settles ``failed`` with a kill signature,
    its journal holds an open ``engine.run`` span (the crash
    signature), and the daemon keeps answering ``/healthz``.
+4. **A miss costs its compute, not a new interpreter.**  A second
+   distinct miss's worker overhead (job time minus the simulation's
+   own ``wall_seconds``) stays under 0.3 s — a worker that has to
+   re-import numpy and ``repro`` (a silent fall back to ``spawn``)
+   takes ~0.7 s.
 """
 
 import os
@@ -49,6 +55,12 @@ FAST_SPEC = {
     "max_parallel_time": 400.0,
     "stop_when_stable": True,
 }
+
+#: A second, distinct miss — its worker starts from a warm forkserver.
+SECOND_SPEC = {**FAST_SPEC, "seed": 2026}
+
+#: Bound on a miss's worker overhead, in seconds.
+MAX_WORKER_OVERHEAD_S = 0.3
 
 #: Deliberately long workload — alive long enough to be killed mid-run.
 SLOW_SPEC = {
@@ -135,6 +147,19 @@ def check_cache_contract(client) -> bytes:
     return first_bytes
 
 
+def check_miss_overhead(client) -> None:
+    final = client.submit_and_wait(SECOND_SPEC, timeout=120.0)
+    assert final["status"] == "accepted", final["status"]
+    job = final["job"]
+    overhead = job["finished"] - job["started"] - final["result"]["wall_seconds"]
+    print(f"miss worker overhead: {overhead:.3f}s")
+    assert overhead < MAX_WORKER_OVERHEAD_S, (
+        f"a miss spent {overhead:.3f}s outside its simulation "
+        f"(bound {MAX_WORKER_OVERHEAD_S}s): are workers still forked "
+        "from a pre-imported forkserver?"
+    )
+
+
 def check_store_survives_restart(root: Path, reference: bytes) -> None:
     index = root / "store" / "index.json"
     assert index.is_file(), "store index must exist after a put"
@@ -205,6 +230,7 @@ def main() -> int:
     proc, client = _start_daemon(root)
     try:
         reference = check_cache_contract(client)
+        check_miss_overhead(client)
         check_kill_legibility(root, client)
     finally:
         _stop_daemon(proc)

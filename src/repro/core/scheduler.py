@@ -15,12 +15,14 @@ so the same protocol runs unmodified under every scheduler.
 from __future__ import annotations
 
 import abc
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import SchedulerError
+
+if TYPE_CHECKING:  # networkx costs ~0.2 s to import; only graphs need it
+    import networkx as nx
 
 __all__ = ["PairScheduler", "UniformPairScheduler", "GraphPairScheduler"]
 
@@ -83,7 +85,7 @@ class GraphPairScheduler(PairScheduler):
     are the nodes ``0..n-1``.
     """
 
-    def __init__(self, graph: nx.Graph):
+    def __init__(self, graph: "nx.Graph"):
         n = graph.number_of_nodes()
         super().__init__(n)
         if graph.number_of_edges() == 0:
@@ -102,6 +104,8 @@ class GraphPairScheduler(PairScheduler):
     @classmethod
     def complete(cls, n: int) -> "GraphPairScheduler":
         """Graph scheduler on the clique (equivalent to the uniform scheduler)."""
+        import networkx as nx
+
         return cls(nx.complete_graph(n))
 
     @property

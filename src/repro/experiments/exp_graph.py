@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..analysis.stabilization import UNDETERMINED_WINNER
@@ -39,14 +38,20 @@ def _random_regular(n: int, seed: int) -> PairScheduler:
     degree = 8 if n > 8 else max(2, n - 2)
     if (degree * n) % 2:
         degree += 1
+    import networkx as nx
+
     return GraphPairScheduler(nx.random_regular_graph(degree, n, seed=seed))
 
 
 def _cycle(n: int, _seed: int) -> PairScheduler:
+    import networkx as nx
+
     return GraphPairScheduler(nx.cycle_graph(n))
 
 
 def _star(n: int, _seed: int) -> PairScheduler:
+    import networkx as nx
+
     return GraphPairScheduler(nx.star_graph(n - 1))
 
 

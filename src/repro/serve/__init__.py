@@ -6,9 +6,11 @@ twice.  This package is that policy as a long-running service: specs
 come in over HTTP, are validated by the :mod:`repro.specs` layer,
 keyed by ``spec_hash``, answered from a content-addressed
 :class:`~repro.serve.store.ResultStore` when the identical work was
-ever done before, and otherwise scheduled on a bounded job pool whose
-workers run in spawned processes (a killed simulation never takes the
-daemon down — its job journal records the crash signature instead).
+ever done before, and otherwise scheduled on a bounded job pool that
+runs each job in its own process, forked from a pre-imported
+forkserver (a killed simulation never takes the daemon down — its job
+journal records the crash signature instead — and a cache miss pays
+for a fork, not a fresh interpreter).
 
 Everything is standard library: ``http.server`` on the daemon side,
 ``urllib`` in the client.

@@ -133,15 +133,22 @@ class ServeClient:
             if line.strip():
                 yield json.loads(line)
 
-    def wait(
-        self, job_id: str, *, timeout: float = 120.0, poll: float = 0.2
-    ) -> Dict[str, Any]:
-        """Poll until the job settles; returns the final status payload.
+    def wait(self, job_id: str, *, timeout: float = 120.0) -> Dict[str, Any]:
+        """Block until the job settles; returns the final status payload.
 
+        Holds a ``?follow=1`` progress stream open — the daemon closes
+        it the moment the job settles — then fetches the status once.
         Raises :class:`ServeError` on job failure or timeout.
         """
         deadline = time.monotonic() + timeout
         while True:
+            remaining = deadline - time.monotonic()
+            if remaining > 0:
+                self._request(
+                    "GET",
+                    f"/runs/{job_id}/progress?follow=1&timeout={remaining:g}",
+                    timeout=remaining + self.timeout,
+                )
             status = self.job(job_id)
             if status.get("status") == "done":
                 return status
@@ -154,7 +161,6 @@ class ServeClient:
                     f"job {job_id} still {status.get('status')!r} after "
                     f"{timeout:g}s"
                 )
-            time.sleep(poll)
 
     def submit_and_wait(
         self, payload: Mapping[str, Any], *, timeout: float = 120.0

@@ -3,7 +3,7 @@
 A :class:`JobManager` owns a bounded pool of concurrently running jobs.
 Each job gets a directory under ``<root>/jobs/<id>`` (spec, journal,
 result, error — everything the status and progress endpoints serve) and
-runs either in a spawned child process (``mode='process'``, the daemon
+runs either in its own child process (``mode='process'``, the daemon
 default: a crashed or killed simulation never takes the server down,
 and the kill signature lands in the job journal) or inline on the
 scheduler thread (``mode='thread'``, for tests and the in-process demo).
@@ -13,9 +13,22 @@ queued or running, submitting the same hash returns that job instead of
 scheduling a second simulation — combined with the result store this
 closes the "never compute the same answer twice" loop end to end.
 
-The spawn start method is deliberate: the daemon's HTTP handler threads
-may hold locks (the metrics registry, the store) at any moment, and a
-``fork`` child would inherit those locks mid-flight.
+Process-mode workers are forked from a ``forkserver`` that has already
+imported :mod:`repro.serve.worker` (numpy and the whole run path), so a
+cache miss costs its compute plus a fork, not a fresh interpreter
+re-importing everything.  Each job is still its own OS process — its
+own pid and exit code, ``terminate`` works, a SIGKILL still leaves the
+``-9 (killed)`` signature and an open ``engine.run`` span — and no job
+process is reused for a second job.  Children fork from the
+forkserver, never from the daemon: the forkserver is a fresh
+single-threaded interpreter (started by fork+exec), so a job cannot
+inherit a lock some HTTP handler thread held mid-flight.  The preload
+only imports modules; it activates no metrics registry, resolves no
+kernel backend and draws no randomness, and the worker reseeds the one
+RNG a fork copies (numpy's legacy global), so every job starts from
+the state a freshly spawned interpreter would have.  Where ``forkserver``
+is not offered, workers fall back to ``spawn`` through the same
+:class:`multiprocessing.Process` API.
 """
 
 from __future__ import annotations
@@ -40,6 +53,22 @@ __all__ = ["Job", "JobManager"]
 #: Job lifecycle states, in order.
 STATUSES = ("queued", "running", "done", "failed")
 
+#: What the forkserver imports once, so forked job workers start warm.
+FORKSERVER_PRELOAD = ["repro.serve.worker"]
+
+
+def _process_context() -> Any:
+    """The multiprocessing context job workers start from.
+
+    ``forkserver`` (preloaded with the job entry point's imports) where
+    the platform offers it, ``spawn`` otherwise.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(FORKSERVER_PRELOAD)
+    return context
+
 
 @dataclass
 class Job:
@@ -56,6 +85,11 @@ class Job:
     started: Optional[float] = None
     finished: Optional[float] = None
     pid: Optional[int] = None
+    #: Set once the job has settled (done or failed) and its
+    #: bookkeeping is complete; waiters block on it instead of polling.
+    settled: threading.Event = field(
+        default_factory=threading.Event, repr=False, compare=False
+    )
 
     def to_dict(self) -> Dict[str, Any]:
         """The wire form the status endpoint serves."""
@@ -116,6 +150,19 @@ class JobManager:
         self._threads: Dict[str, threading.Thread] = {}
         self._processes: Dict[str, Any] = {}
         self._closed = False
+        self._context = _process_context() if mode == "process" else None
+        if self._context is not None and (
+            self._context.get_start_method() == "forkserver"
+        ):
+            from multiprocessing import forkserver
+
+            # warm in the background: the first miss finds the preload
+            # done, and the daemon answers /healthz without waiting on it
+            threading.Thread(
+                target=forkserver.ensure_running,
+                name="serve-forkserver",
+                daemon=True,
+            ).start()
 
     # -- submission ----------------------------------------------------
 
@@ -208,6 +255,7 @@ class JobManager:
                 obs_emit(
                     "serve.job_finished", job=job.id, status=job.status
                 )
+                job.settled.set()
                 self._evict_settled()
 
     def _evict_settled(self) -> None:
@@ -260,8 +308,7 @@ class JobManager:
         self._finish(job, document)
 
     def _run_in_process(self, job: Job, payload: Dict[str, Any]) -> None:
-        context = multiprocessing.get_context("spawn")
-        process = context.Process(
+        process = self._context.Process(
             target=worker._job_entry,
             args=(payload, str(job.dir), self.progress_interval),
             daemon=True,

@@ -33,6 +33,7 @@ Endpoints
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -267,8 +268,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _serve_progress(self, job_id: str, query: Dict[str, Any]) -> None:
         """NDJSON journal tail, optionally followed until the job settles."""
-        import time
-
         job = self.app.jobs.get(job_id)
         if job is None:
             self._send_json(404, {"error": f"unknown job {job_id!r}"})
@@ -285,6 +284,9 @@ class _Handler(BaseHTTPRequestHandler):
         sent = 0
         deadline = time.monotonic() + timeout
         while True:
+            # read the flag before the journal: once it is set the
+            # journal is complete, so the last pass sends every record
+            settled = job.settled.is_set()
             records = (
                 read_journal(journal_path) if journal_path.is_file() else []
             )
@@ -293,10 +295,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.write(line.encode("utf-8"))
             self.wfile.flush()
             sent = len(records)
-            settled = job.status in ("done", "failed")
-            if not follow or settled or time.monotonic() >= deadline:
+            remaining = deadline - time.monotonic()
+            if not follow or settled or remaining <= 0:
                 break
-            time.sleep(0.2)
+            # wakes the moment the job settles; the cap keeps heartbeats
+            # of a long job streaming
+            job.settled.wait(min(0.2, remaining))
         self.close_connection = True
 
 
@@ -330,6 +334,22 @@ def run_server(config: ServeConfig) -> None:
         pass
     finally:
         shutdown_server(httpd)
+        _stop_forkserver()
+
+
+def _stop_forkserver() -> None:
+    """Stop this process's job forkserver and wait for it to exit.
+
+    The forkserver reaps the job workers, so only once the daemon has
+    waited for it do their resource usages (peak RSS among them) reach
+    whoever waits for the daemon.  Called at daemon exit only: other
+    in-process job managers may share the forkserver.
+    """
+    from multiprocessing import forkserver
+
+    server = getattr(forkserver, "_forkserver", None)
+    if hasattr(server, "_stop"):
+        server._stop()
 
 
 def shutdown_server(httpd: _Server) -> None:

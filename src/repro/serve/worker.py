@@ -6,12 +6,19 @@ scope wraps the whole execution (metrics + a per-job journal, so
 leaves its timeline on disk), and the finished result lands as the
 canonical result-document bytes in ``result.json``.
 
-:func:`_job_entry` is the ``spawn``-context process entry point: it is
+:func:`_job_entry` is the job worker's process entry point: it is
 module-level (picklable by qualified name), reports failure through
 ``error.json`` + a non-zero exit code, and ships the job's metric
-counters home through ``metrics.json`` — a spawned child has its own
+counters home through ``metrics.json`` — a worker process has its own
 registry, so deltas travel by file exactly like pool workers ship
 theirs through the result plumbing.
+
+The daemon's ``forkserver`` preloads this module, so importing it must
+stay free of side effects beyond imports: no registry activation, no
+kernel-backend resolution, no RNG draws.  The one state a fork does
+copy, numpy's legacy global RNG, :func:`_job_entry` reseeds, so every
+forked job starts from the state a freshly spawned interpreter would
+have.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ import os
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Mapping, Union
+
+import numpy as np
 
 from ..errors import ReproError
 from ..obs import metrics as obs_metrics
@@ -108,7 +117,11 @@ def _json_bytes(value: Any) -> bytes:
 def _job_entry(
     payload: Dict[str, Any], job_dir: str, progress_interval: float
 ) -> None:
-    """Spawned-process entry point: execute, or leave an ``error.json``."""
+    """Job-process entry point: execute, or leave an ``error.json``."""
+    # a forked worker inherits the forkserver's legacy global numpy RNG
+    # (``random`` reseeds itself at fork, numpy does not): draw it from
+    # OS entropy as a freshly spawned interpreter would
+    np.random.seed()
     directory = Path(job_dir)
     try:
         execute_job(payload, directory, progress_interval=progress_interval)

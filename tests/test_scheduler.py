@@ -85,3 +85,26 @@ class TestGraphPairScheduler:
         assert scheduler.num_edges == 10
         initiators, responders = scheduler.sample_pairs(rng, 100)
         assert np.all(initiators != responders)
+
+
+def test_networkx_is_imported_only_when_a_graph_is_built():
+    """``import repro`` (and the serve worker's preload) leave networkx out.
+
+    networkx is only needed to build interaction graphs, and importing
+    it costs a large share of ``import repro``; it must load lazily.
+    """
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "import repro.serve.worker\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported eagerly'\n"
+        "repro.GraphPairScheduler.complete(4)\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -11,14 +11,29 @@ The contracts under test, layer by layer:
   coalesce onto one job instead of simulating twice;
 * the HTTP daemon end to end — submit/miss/hit, byte-identical result
   fetches, live ``/metrics``, job status and journal progress, 400 on
-  invalid specs, 404 on unknown routes; plus a spawned-process-mode
-  smoke test (the production configuration).
+  invalid specs, 404 on unknown routes; plus a process-mode smoke test
+  (the production configuration);
+* waiting — ``ServeClient.wait`` holds one ``?follow=1`` stream that
+  closes when the job settles, then fetches the status once;
+* process-mode job workers — forked from a pre-imported ``forkserver``
+  (``spawn`` only where it is not offered), one process per job with no
+  state leaking between jobs, a SIGKILLed worker still legible as a
+  ``(killed)`` failure with an open ``engine.run`` span, and the
+  forkserver reaped when the daemon exits.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -417,7 +432,7 @@ class TestDaemon:
 
 
 def test_process_mode_smoke(tmp_path):
-    """The production configuration: jobs in spawned worker processes."""
+    """The production configuration: one worker process per job."""
     httpd = make_server(
         ServeConfig(
             port=0, root=tmp_path / "serve", job_mode="process", max_jobs=1
@@ -437,6 +452,297 @@ def test_process_mode_smoke(tmp_path):
     finally:
         shutdown_server(httpd)
         thread.join(timeout=5.0)
+
+
+# ----------------------------------------------------------------- waiting
+
+
+def _hold_jobs(monkeypatch, *, fail=False):
+    """Make thread-mode jobs block until the returned event is set."""
+    from repro.serve import worker
+
+    release = threading.Event()
+    spec_hash = RunSpec.from_dict(FAST_PAYLOAD).spec_hash()
+
+    def held_execute(payload, job_dir, *, progress_interval=2.0):
+        release.wait(timeout=30.0)
+        if fail:
+            raise ServeError("synthetic job failure")
+        return {"spec_hash": spec_hash, "kind": "result"}
+
+    monkeypatch.setattr(worker, "execute_job", held_execute)
+    return release
+
+
+def _metric(text, name, **labels):
+    """One sample's value from a Prometheus exposition (0 if absent)."""
+    series = name + (
+        "{" + ",".join(f'{k}="{v}"' for k, v in labels.items()) + "}"
+        if labels
+        else ""
+    )
+    for line in text.splitlines():
+        if line.startswith(series + " "):
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
+
+
+def _wait_requests(client):
+    text = client.metrics_text()
+    return tuple(
+        _metric(text, "serve_requests_total", endpoint=endpoint)
+        for endpoint in ("progress", "get_run")
+    )
+
+
+class TestWait:
+    def test_wait_follows_until_done_then_fetches_status_once(
+        self, daemon, monkeypatch
+    ):
+        client, _httpd = daemon
+        release = _hold_jobs(monkeypatch)
+        job_id = client.submit(FAST_PAYLOAD)["job"]["id"]
+        before = _wait_requests(client)
+        threading.Timer(0.3, release.set).start()
+        final = client.wait(job_id, timeout=30.0)
+        assert final["status"] == "done"
+        assert final["finished"] is not None
+        # one follow stream held open across the whole wait, one status
+        # fetch after it closed — no polling
+        progress, get_run = _wait_requests(client)
+        assert (progress - before[0], get_run - before[1]) == (1, 1)
+
+    def test_wait_raises_once_the_job_fails(self, daemon, monkeypatch):
+        client, _httpd = daemon
+        release = _hold_jobs(monkeypatch, fail=True)
+        job_id = client.submit(FAST_PAYLOAD)["job"]["id"]
+        before = _wait_requests(client)
+        threading.Timer(0.3, release.set).start()
+        with pytest.raises(ServeError, match="failed: synthetic job failure"):
+            client.wait(job_id, timeout=30.0)
+        progress, get_run = _wait_requests(client)
+        assert (progress - before[0], get_run - before[1]) == (1, 1)
+
+    def test_wait_times_out_on_a_job_still_running(self, daemon, monkeypatch):
+        client, _httpd = daemon
+        release = _hold_jobs(monkeypatch)
+        try:
+            job_id = client.submit(FAST_PAYLOAD)["job"]["id"]
+            with pytest.raises(ServeError, match="still 'running' after"):
+                client.wait(job_id, timeout=0.3)
+        finally:
+            release.set()
+
+
+# ------------------------------------------------- process-mode job workers
+
+
+@pytest.mark.parametrize(
+    "offered, expected",
+    [
+        (["fork", "spawn", "forkserver"], "forkserver"),
+        (["fork", "spawn"], "spawn"),
+    ],
+)
+def test_process_workers_start_method(tmp_path, monkeypatch, offered, expected):
+    if expected not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{expected} is not offered on this platform")
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: list(offered)
+    )
+    jobs = JobManager(ResultStore(tmp_path / "store"), tmp_path, mode="process")
+    try:
+        assert jobs._context.get_start_method() == expected
+    finally:
+        jobs.shutdown()
+
+
+def test_forkserver_preload_only_imports():
+    """Importing the preload leaves no state a spawned job would lack."""
+    code = (
+        "from repro.serve.jobs import FORKSERVER_PRELOAD\n"
+        "for name in FORKSERVER_PRELOAD:\n"
+        "    __import__(name)\n"
+        "from repro.core.kernels import registry\n"
+        "from repro.obs import metrics\n"
+        "assert not registry._RESOLVED, registry._RESOLVED\n"
+        "assert not metrics.REGISTRY.enabled\n"
+        "assert not any(metrics.REGISTRY.snapshot().values())\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+def test_job_entry_reseeds_the_inherited_numpy_rng(tmp_path):
+    """A forked worker must not replay the forkserver's legacy RNG."""
+    import numpy as np
+
+    from repro.serve import worker
+
+    saved = np.random.get_state()
+    try:
+        np.random.seed(0)
+        inherited = np.random.get_state()[1].copy()
+        with pytest.raises(SystemExit):
+            worker._job_entry({"kind": "run"}, str(tmp_path / "job"), 2.0)
+        assert (tmp_path / "job" / worker.ERROR_NAME).is_file()
+        assert not np.array_equal(np.random.get_state()[1], inherited)
+    finally:
+        np.random.set_state(saved)
+
+
+#: Alive long enough to be killed mid-run.
+SLOW_PAYLOAD = {
+    "schema_version": 1,
+    "kind": "run",
+    "protocol": {"name": "voter", "k": 2},
+    "initial": {"kind": "equal-minorities", "n": 400_000, "params": {"bias": 1}},
+    "engine": "counts",
+    "seed": 7,
+    "max_parallel_time": 1_000_000.0,
+    "stop_when_stable": True,
+}
+
+
+def test_killed_process_job_is_legible(tmp_path):
+    from repro.obs.journal import JOURNAL_NAME, read_journal, summarize_journal
+
+    jobs = JobManager(
+        ResultStore(tmp_path / "store"),
+        tmp_path,
+        max_workers=1,
+        mode="process",
+        progress_interval=0.2,
+    )
+    try:
+        job, _ = jobs.submit(
+            SLOW_PAYLOAD,
+            spec_hash=RunSpec.from_dict(SLOW_PAYLOAD).spec_hash(),
+            kind="run",
+            cacheable=True,
+        )
+        journal = job.dir / JOURNAL_NAME
+        deadline = time.monotonic() + 60.0
+        while not (
+            job.pid is not None
+            and journal.is_file()
+            and "engine.run" in summarize_journal(read_journal(journal)).spans
+        ):
+            assert job.status != "failed", job.error
+            assert time.monotonic() < deadline, "worker never entered engine.run"
+            time.sleep(0.05)
+        os.kill(job.pid, signal.SIGKILL)
+        assert job.settled.wait(30.0), "killed job never settled"
+        assert job.status == "failed"
+        assert "(killed)" in job.error, job.error
+        summary = summarize_journal(read_journal(journal))
+        assert summary.spans["engine.run"].open > 0
+        assert not summary.closed
+    finally:
+        jobs.shutdown()
+
+
+def _child_processes(pid):
+    """``(pid, cmdline)`` of the live children of ``pid``, from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+            cmdline = Path(f"/proc/{entry}/cmdline").read_bytes()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(
+                (int(entry), cmdline.replace(b"\0", b" ").decode(errors="replace"))
+            )
+    return children
+
+
+@pytest.fixture()
+def process_daemon(tmp_path):
+    """A real ``repro serve`` subprocess in its default process job mode."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", "0", "--root", str(tmp_path / "serve"), "--jobs", "1",
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        match = re.search(r"http://[\d.]+:(\d+)", proc.stdout.readline())
+        assert match, "daemon did not announce a port"
+        client = ServeClient(f"http://127.0.0.1:{match.group(1)}")
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                client.health()
+                break
+            except ServeError:
+                assert time.monotonic() < deadline, "daemon never healthy"
+                time.sleep(0.05)
+        yield proc, client
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=20.0)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        proc.stdout.close()
+
+
+def test_back_to_back_process_jobs_run_in_fresh_workers(process_daemon):
+    proc, client = process_daemon
+    finals = [
+        client.submit_and_wait({**FAST_PAYLOAD, "seed": seed}, timeout=120.0)
+        for seed in (41, 42)
+    ]
+    assert [final["status"] for final in finals] == ["accepted", "accepted"]
+    pids = [final["job"]["pid"] for final in finals]
+    assert len(set(pids)) == 2 and proc.pid not in pids
+    # each worker's counters arrive as a delta and fold into the daemon:
+    # the total is exactly the two outcomes, so nothing leaked between
+    # forked jobs
+    expected = sum(final["result"]["outcome"]["interactions"] for final in finals)
+    assert _metric(client.metrics_text(), "interactions_total") == expected
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists()
+    or "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="needs /proc and the forkserver start method",
+)
+def test_daemon_exit_reaps_the_forkserver(process_daemon):
+    proc, _client = process_daemon
+    deadline = time.monotonic() + 30.0
+    while True:
+        servers = [
+            pid
+            for pid, cmdline in _child_processes(proc.pid)
+            if "multiprocessing.forkserver" in cmdline
+        ]
+        if servers:
+            break
+        assert time.monotonic() < deadline, "daemon never started a forkserver"
+        time.sleep(0.05)
+    proc.send_signal(signal.SIGINT)
+    assert proc.wait(timeout=20.0) == 0
+    # waited for by the daemon itself, not left to exit on its own
+    assert not [pid for pid in servers if Path(f"/proc/{pid}").exists()]
 
 
 def test_client_reports_unreachable_server():
